@@ -1,11 +1,11 @@
 #include "common.h"
 
-#include <sys/resource.h>
 #include <sys/vfs.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 
 namespace perfbench {
@@ -77,9 +77,45 @@ fsTypeName(const std::string& path)
 double
 selfPeakRssMb()
 {
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    return static_cast<double>(usage.ru_maxrss) / 1024.0; // KiB -> MB
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::strtod(line.c_str() + 6, nullptr) / 1024.0; // kB
+    }
+    return std::numeric_limits<double>::quiet_NaN();
+}
+
+CpuRotation::CpuRotation()
+{
+    CPU_ZERO(&original_);
+    if (sched_getaffinity(0, sizeof original_, &original_) != 0)
+        return;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (CPU_ISSET(c, &original_))
+            cpus_.push_back(c);
+    }
+    if (cpus_.size() < 2)
+        cpus_.clear();
+}
+
+CpuRotation::~CpuRotation()
+{
+    if (restore_)
+        sched_setaffinity(0, sizeof original_, &original_);
+}
+
+void
+CpuRotation::next()
+{
+    if (cpus_.empty())
+        return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus_[at_], &one);
+    at_ = (at_ + 1) % cpus_.size();
+    if (sched_setaffinity(0, sizeof one, &one) == 0)
+        restore_ = true;
 }
 
 } // namespace perfbench

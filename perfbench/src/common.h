@@ -3,6 +3,8 @@
 // Shared plumbing of the perfbench driver: clocks, the seeded input
 // generator, quantiles, and the record every workload fills in.
 
+#include <sched.h>
+
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -52,6 +54,14 @@ class Rng
   private:
     std::uint64_t state_;
 };
+
+/**
+ * The quantile of op times that op_p5_ms reports. Interference on the
+ * shared host comes in phases of seconds that slow an op up to about
+ * 1.8x; a low quantile keeps the program's own cost and little of
+ * that. The median is reported per layer, unbounded.
+ */
+constexpr double kLowQuantile = 0.05;
 
 /** Linear-interpolated quantile, q in [0, 1]; NaN when empty. */
 double quantile(std::vector<double> values, double q);
@@ -117,7 +127,37 @@ RunOutput runVerify(const Config& config);
 RunOutput runSweep(const Config& config);
 RunOutput runServe(const Config& config);
 
-/** Peak resident set of this process, MB (getrusage). */
+/**
+ * Peak resident set of this process, MB: VmHWM of /proc/self/status.
+ * Not getrusage's ru_maxrss, which keeps the peak of the process that
+ * forked this one across exec (the Python launcher's, when larger).
+ */
 double selfPeakRssMb();
+
+/**
+ * Moves the calling thread round the CPUs it may run on, one CPU per
+ * next() call; the destructor restores the original affinity. On the
+ * shared host, interference hits one vCPU at a time for seconds, so a
+ * single-threaded loop that stays on one vCPU can spend a whole run
+ * in a slow phase; visiting every vCPU keeps a low quantile of its op
+ * times out of that phase. Does nothing where affinity cannot be set.
+ */
+class CpuRotation
+{
+  public:
+    CpuRotation();
+    ~CpuRotation();
+    CpuRotation(const CpuRotation&) = delete;
+    CpuRotation& operator=(const CpuRotation&) = delete;
+
+    void next();
+    std::size_t cpuCount() const { return cpus_.size(); }
+
+  private:
+    std::vector<int> cpus_;
+    std::size_t at_ = 0;
+    bool restore_ = false;
+    cpu_set_t original_;
+};
 
 } // namespace perfbench

@@ -52,6 +52,8 @@ const std::pair<const char*, const char*> kPerLayer[] = {
     {"serve.cache_misses", "count"},
     {"serve.daemon_vm_mb", "MB"},
     {"serve.daemon_threads", "count"},
+    {"op_p50_ms", "ms"},
+    {"ops_per_s", "1/s"},
     {"op_tail_ms", "ms"},
     {"trace.overhead_ms", "ms"},
 };

@@ -264,14 +264,15 @@ runSweep(const Config& config)
         timed += ms;
     const double p50 = quantile(opMs, 0.5);
     out.endToEnd = {
-        {"op_p10_ms", quantile(opMs, 0.10), "ms"},
-        {"op_p50_ms", p50, "ms"},
-        {"ops_per_s", static_cast<double>(opMs.size()) / (timed / 1e3), "1/s"},
+        {"op_p5_ms", quantile(opMs, kLowQuantile), "ms"},
         {"setup_s", setupS, "s"},
         {"peak_rss_mb", selfPeakRssMb(), "MB"},
     };
+    out.perLayer["op_p50_ms"] = p50;
+    out.perLayer["ops_per_s"] =
+        static_cast<double>(opMs.size()) / (timed / 1e3);
     const double tailP = tailPercentile(opMs.size());
-    out.notes.push_back({"quantile", "op_p10_ms/op_p50_ms: p10/p50 of the "
+    out.notes.push_back({"quantile", "op_p5_ms/op_p50_ms: p5/p50 of the "
                                      "per-op host times"});
     out.notes.push_back({"tail_percentile", std::to_string(tailP)});
     out.notes.push_back({"tail_samples", std::to_string(opMs.size())});
