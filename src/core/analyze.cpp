@@ -1,7 +1,6 @@
 #include "core/analyze.h"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -9,8 +8,8 @@
 #include "core/competing.h"
 #include "core/crossoff.h"
 #include "core/label_verify.h"
-#include "core/labeling.h"
 #include "core/machine_spec.h"
+#include "sim/session.h"
 
 namespace syscomm {
 
@@ -212,9 +211,10 @@ std::string AnalysisReport::render(const Program& program) const
     return out.str();
 }
 
-AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
+AnalysisReport analyzeProgram(const sim::CompiledProgram& compiled,
                               const AnalyzeOptions& options)
 {
+    const Program& program = compiled.program();
     AnalysisReport report;
     report.shape = options;
 
@@ -222,55 +222,45 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
     // Pass 4a: structural validity. Everything downstream indexes by
     // the program's cells and messages, so invalid programs stop here.
     // ------------------------------------------------------------------
-    if (program.numCells() > topo.numCells())
+    if (program.numCells() > compiled.topo().numCells())
     {
         Diagnostic d = makeDiag(
             Severity::kError, LintRule::kTopologyMismatch,
             "program declares " + std::to_string(program.numCells()) +
                 " cells but the topology has only " +
-                std::to_string(topo.numCells()));
+                std::to_string(compiled.topo().numCells()));
         report.diagnostics.push_back(std::move(d));
-        report.verdict = LintVerdict::kInvalid;
-        return report;
-    }
-    std::vector<std::string> issues = program.validate(topo.numCells());
-    if (!issues.empty())
-    {
-        for (std::string& issue : issues)
-            report.diagnostics.push_back(makeDiag(Severity::kError,
-                                                  LintRule::kInvalidProgram,
-                                                  std::move(issue)));
         report.verdict = LintVerdict::kInvalid;
         return report;
     }
 
     // ------------------------------------------------------------------
-    // Pass 4b: route liveness. Must precede CompetingAnalysis, which
-    // asserts connectivity. Standard topologies are connected; custom
-    // (e.g. fault-degraded) ones may not be.
+    // Pass 4b: route liveness. The compile routed every message once;
+    // standard topologies are connected, custom (e.g. fault-degraded)
+    // ones may not be. Its validation lists one error per unroutable
+    // message, and only when the program is otherwise sound.
     // ------------------------------------------------------------------
-    bool unroutable = false;
-    for (MessageId m = 0; m < program.numMessages(); ++m)
+    if (!compiled.valid())
     {
-        const MessageDecl& decl = program.message(m);
-        if (topo.routePath(decl.sender, decl.receiver).empty())
+        const std::vector<MessageId>& unroutable =
+            compiled.competing().unroutable();
+        const std::vector<std::string>& issues = compiled.validation();
+        for (std::size_t i = 0; i < issues.size(); ++i)
         {
-            Diagnostic d = makeDiag(
-                Severity::kError, LintRule::kUnroutableMessage,
-                "message " + decl.name + " has no route from cell " +
-                    std::to_string(decl.sender) + " to cell " +
-                    std::to_string(decl.receiver));
-            d.msg = m;
-            d.cell = decl.sender;
+            Diagnostic d = makeDiag(Severity::kError,
+                                    LintRule::kInvalidProgram, issues[i]);
+            if (!unroutable.empty())
+            {
+                d.rule = LintRule::kUnroutableMessage;
+                d.msg = unroutable[i];
+                d.cell = program.message(d.msg).sender;
+            }
             report.diagnostics.push_back(std::move(d));
-            unroutable = true;
         }
-    }
-    if (unroutable)
-    {
         report.verdict = LintVerdict::kInvalid;
         return report;
     }
+    const CompetingAnalysis& competing = compiled.competing();
 
     // ------------------------------------------------------------------
     // Pass 4c: compute-op neighborhood pins (informational). A cell
@@ -305,7 +295,7 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
 
     CrossOffOptions shapeOpts;
     shapeOpts.lookahead = true;
-    shapeOpts.skip_bound = routeCapacitySkipBound(program, topo, capacity);
+    shapeOpts.skip_bound = routeCapacitySkipBound(competing, capacity);
     CrossOffResult atShape =
         basic.deadlockFree ? basic : crossOff(program, shapeOpts);
     if (!atShape.deadlockFree)
@@ -347,7 +337,7 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
         report.minUniformCapacity = searchSmallest(maxLen, [&](int cap) {
             CrossOffOptions o;
             o.lookahead = true;
-            o.skip_bound = routeCapacitySkipBound(program, topo, cap);
+            o.skip_bound = routeCapacitySkipBound(competing, cap);
             return crossOff(program, o).deadlockFree;
         });
         report.minUniformSkipBound = searchSmallest(maxLen, [&](int bound) {
@@ -387,17 +377,16 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
     }
 
     // ------------------------------------------------------------------
-    // Pass 3: label feasibility. Uses the exact labeling a SimSession
-    // would (section 6 scheme, trivial fallback — keep in lockstep
-    // with CompiledProgram::labels()), then Theorem 1's conditions:
+    // Pass 3: label feasibility. Checks the labeling sessions on this
+    // compiled program run with (explicit labels, else section 6 with
+    // the trivial fallback) against Theorem 1's conditions:
     // (i) consistency, (ii) queues per link >= largest same-label
     // group crossing it.
     // ------------------------------------------------------------------
-    Labeling labeling = labelMessages(program);
-    if (!labeling.success)
+    const std::vector<Rational>& labels = compiled.labelValues();
+    if (compiled.labelingFellBack())
     {
         report.labelingFellBack = true;
-        labeling = trivialLabeling(program);
         report.diagnostics.push_back(makeDiag(
             report.verdict == LintVerdict::kDeadlock ? Severity::kInfo
                                                      : Severity::kWarning,
@@ -406,7 +395,7 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
             "force (all competitors form one simultaneous group)"));
     }
     std::vector<ConsistencyIssue> inconsistent =
-        checkLabelConsistency(program, labeling.labels);
+        checkLabelConsistency(program, labels);
     report.labelsConsistent = inconsistent.empty();
     for (const ConsistencyIssue& issue : inconsistent)
     {
@@ -418,18 +407,12 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
         report.diagnostics.push_back(std::move(d));
     }
 
-    CompetingAnalysis competing = CompetingAnalysis::analyze(program, topo);
     MachineSpec spec;
-    // Alias the caller's topology without copying it; the spec does not
-    // outlive this call.
-    spec.topo = SharedTopology(
-        std::shared_ptr<const Topology>(std::shared_ptr<const Topology>(),
-                                        &topo));
+    spec.topo = compiled.sharedTopo();
     spec.queuesPerLink = options.queuesPerLink;
     spec.queueCapacity = options.queueCapacity;
     spec.extensionCapacity = options.extensionCapacity;
-    Feasibility dynamic =
-        checkDynamicFeasibility(competing, labeling.labels, spec);
+    Feasibility dynamic = checkDynamicFeasibility(competing, labels, spec);
     report.feasibleAtShape = dynamic.feasible;
     report.requiredQueuesPerLink = dynamic.requiredQueuesPerLink;
     report.worstLink = dynamic.worstLink;

@@ -8,10 +8,12 @@
  * (section 3.3) and supplies the machinery to discharge it statically:
  * the crossing-off procedure (sections 3 and 8.1) and the Theorem 1
  * labeling conditions (sections 5-7). analyzeProgram() turns those
- * analyses into a linter: it runs over a (Program, Topology) pair plus
- * a machine shape and emits a structured AnalysisReport of typed
+ * analyses into a linter: it runs over a sim::CompiledProgram plus a
+ * machine shape and emits a structured AnalysisReport of typed
  * diagnostics — machine-readable coordinates (cell, message, op, link)
- * next to the human text — with four passes:
+ * next to the human text — with four passes. It derives no route or
+ * label of its own: validation, routes and the default labeling are
+ * the ones the compile already made for the simulator.
  *
  *  1. **Deadlock certification.** The crossing-off procedure with
  *     section 8.1 lookahead under the shape's real R2 bound
@@ -34,13 +36,13 @@
  *     uniform skip bound) at which the program becomes deadlock-free
  *     — section 8.1 as a capacity-planning answer. Reports -1 when no
  *     finite buffering helps (a read cycle).
- *  3. **Label feasibility.** The Theorem 1 conditions against the
- *     exact labeling a SimSession would use (section 6 scheme with
- *     trivial fallback — see CompiledProgram::labels()): consistency
- *     (condition i) and enough queues per link for the largest
- *     same-label group (condition ii), reporting which condition
- *     fails and where. kCertified is precisely the test_theorem1
- *     recipe: basic crossing-off passes, the labeling is consistent,
+ *  3. **Label feasibility.** The Theorem 1 conditions against
+ *     CompiledProgram::labels(), the labeling sessions on that
+ *     compiled program run with (explicit labels, else the section 6
+ *     scheme with trivial fallback): consistency (condition i) and
+ *     enough queues per link for the largest same-label group
+ *     (condition ii), reporting which condition fails and where.
+ *     kCertified is precisely the test_theorem1 recipe: basic crossing-off passes, the labeling is consistent,
  *     and the shape is dynamically feasible — Theorem 1 then
  *     guarantees completion under the compatible policy.
  *  4. **Route liveness.** Unroutable messages, program/topology cell
@@ -57,10 +59,13 @@
 #include <vector>
 
 #include "core/program.h"
-#include "core/topology.h"
 #include "core/types.h"
 
 namespace syscomm {
+
+namespace sim {
+class CompiledProgram;
+}
 
 /** How bad a diagnostic is. */
 enum class Severity : std::uint8_t
@@ -144,7 +149,7 @@ enum class LintVerdict : std::uint8_t
 {
     /**
      * Theorem 1 applies: deadlock-free (basic crossing-off), the
-     * default labeling is consistent, and the shape satisfies
+     * compiled labeling is consistent, and the shape satisfies
      * condition (ii) — a compatible-policy run on this shape
      * completes.
      */
@@ -206,8 +211,8 @@ struct AnalysisReport
     // Pass 3: label feasibility at the shape.
     /** Basic crossing-off verdict (lookahead-free is in `verdict`). */
     bool basicDeadlockFree = false;
-    /** Section 6 labeling failed and the trivial labeling was used
-     *  (mirrors the SimSession default). */
+    /** Section 6 labeling failed and the trivial labeling is in force
+     *  (CompiledProgram::labelingFellBack()). */
     bool labelingFellBack = false;
     /** The labeling in force is consistent (condition i). */
     bool labelsConsistent = false;
@@ -224,12 +229,12 @@ struct AnalysisReport
 };
 
 /**
- * Run all four passes. Pure: consults nothing but its arguments, so
- * the result is cacheable under the (program, topology) digest the
- * serve cache already keys on plus the shape.
+ * Run all four passes over @p compiled's validation, routes and
+ * labels. The result depends only on the compiled program (its
+ * program, topology and labels) and the shape, so
+ * CompiledProgram::analysis() memoizes it per shape.
  */
-AnalysisReport analyzeProgram(const Program& program,
-                              const Topology& topo,
+AnalysisReport analyzeProgram(const sim::CompiledProgram& compiled,
                               const AnalyzeOptions& options = {});
 
 } // namespace syscomm

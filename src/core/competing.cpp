@@ -16,6 +16,8 @@ CompetingAnalysis::analyze(const Program& program, const Topology& topo)
 
     for (const MessageDecl& m : program.messages()) {
         Route route = computeRoute(topo, m.sender, m.receiver);
+        if (route.cells.empty())
+            out.unroutable_.push_back(m.id);
         for (const Hop& hop : route.hops) {
             out.on_link_[hop.link].push_back(m.id);
             out.on_link_dir_[hop.link][static_cast<int>(hop.dir)]

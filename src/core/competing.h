@@ -36,6 +36,9 @@ class CompetingAnalysis
     const Route& route(MessageId msg) const { return routes_[msg]; }
     const std::vector<Route>& routes() const { return routes_; }
 
+    /** Messages whose endpoints are not connected (empty route). */
+    const std::vector<MessageId>& unroutable() const { return unroutable_; }
+
     /** Messages crossing a link in either direction, ascending ids. */
     const std::vector<MessageId>& onLink(LinkIndex link) const
     {
@@ -59,6 +62,7 @@ class CompetingAnalysis
 
   private:
     std::vector<Route> routes_;
+    std::vector<MessageId> unroutable_;
     std::vector<std::vector<MessageId>> on_link_;
     std::vector<std::array<std::vector<MessageId>, 2>> on_link_dir_;
 };

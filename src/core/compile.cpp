@@ -17,11 +17,19 @@ compileProgram(const Program& program, const MachineSpec& spec,
         return plan;
     }
 
+    // Routes first: the lookahead skip bound reads them.
+    plan.competing = CompetingAnalysis::analyze(program, spec.topo);
+    if (!plan.competing.unroutable().empty()) {
+        MessageId m = plan.competing.unroutable().front();
+        plan.error = "message " + program.message(m).name + " has no route";
+        return plan;
+    }
+
     // Step 1: deadlock-freedom via crossing-off.
     CrossOffOptions co;
     co.lookahead = options.lookahead;
     if (options.lookahead) {
-        co.skip_bound = routeCapacitySkipBound(program, spec.topo,
+        co.skip_bound = routeCapacitySkipBound(plan.competing,
                                                spec.totalQueueCapacity());
     }
     plan.crossoff = crossOff(program, co);
@@ -65,7 +73,6 @@ compileProgram(const Program& program, const MachineSpec& spec,
     plan.normalizedLabels = plan.labeling.normalized();
 
     // Step 3: feasibility of a compatible assignment on this machine.
-    plan.competing = CompetingAnalysis::analyze(program, spec.topo);
     plan.staticFeasibility = checkStaticFeasibility(plan.competing, spec);
     plan.dynamicFeasibility =
         checkDynamicFeasibility(plan.competing, plan.labeling.labels, spec);

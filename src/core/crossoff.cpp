@@ -6,7 +6,7 @@
 #include <memory>
 #include <unordered_map>
 
-#include "core/route.h"
+#include "core/competing.h"
 
 namespace syscomm {
 
@@ -29,15 +29,13 @@ unlimitedSkipBound()
 }
 
 SkipBoundFn
-routeCapacitySkipBound(const Program& program, const Topology& topo,
+routeCapacitySkipBound(const CompetingAnalysis& competing,
                        int capacity_per_queue)
 {
     auto bounds = std::make_shared<std::vector<int>>();
-    bounds->reserve(program.numMessages());
-    for (const MessageDecl& m : program.messages()) {
-        Route route = computeRoute(topo, m.sender, m.receiver);
+    bounds->reserve(competing.routes().size());
+    for (const Route& route : competing.routes())
         bounds->push_back(route.numHops() * capacity_per_queue);
-    }
     return [bounds](MessageId id) { return (*bounds)[id]; };
 }
 

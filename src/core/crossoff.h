@@ -21,10 +21,11 @@
 #include <vector>
 
 #include "core/program.h"
-#include "core/topology.h"
 #include "core/types.h"
 
 namespace syscomm {
+
+class CompetingAnalysis;
 
 /** Per-message bound on skipped writes (rule R2). */
 using SkipBoundFn = std::function<int(MessageId)>;
@@ -42,10 +43,9 @@ SkipBoundFn unlimitedSkipBound();
  * The paper's actual R2 bound: the total capacity of the queues the
  * message will cross, i.e. hops(route) * capacity_per_queue (each hop
  * holds one queue of the given capacity, including any memory-backed
- * extension).
+ * extension). Reads the routes @p competing already holds.
  */
-SkipBoundFn routeCapacitySkipBound(const Program& program,
-                                   const Topology& topo,
+SkipBoundFn routeCapacitySkipBound(const CompetingAnalysis& competing,
                                    int capacity_per_queue);
 
 /** Options controlling a crossing-off run. */

@@ -34,7 +34,6 @@ struct Route
     std::vector<Hop> hops;
 
     int numHops() const { return static_cast<int>(hops.size()); }
-    bool empty() const { return hops.empty(); }
 
     /** "0 -> 1 -> 2" rendering. */
     std::string str() const;
@@ -42,7 +41,8 @@ struct Route
 
 /**
  * Compute the deterministic minimum-length route between two cells.
- * Asserts that the cells are connected.
+ * Returns an empty route (no cells, no hops) when they are not
+ * connected.
  */
 Route computeRoute(const Topology& topo, CellId sender, CellId receiver);
 

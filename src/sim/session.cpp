@@ -290,14 +290,27 @@ CompiledProgram::CompiledProgram(const Program& program,
     ++compiledBuilds;
     if (!labels.empty()) {
         labels_ = std::move(labels);
+        labelValues_.assign(labels_.begin(), labels_.end());
         labelsGiven_ = true;
     }
     validation_ = program.validate(topo_.numCells());
+    if (labelsGiven_ &&
+        static_cast<int>(labels_.size()) != program.numMessages())
+        validation_.push_back("explicit labels must be one per message");
+    if (validation_.empty()) {
+        competing_ = CompetingAnalysis::analyze(program, topo_);
+        for (MessageId m : competing_.unroutable()) {
+            const MessageDecl& decl = program.message(m);
+            validation_.push_back(
+                "message " + decl.name + " has no route from cell " +
+                std::to_string(decl.sender) + " to cell " +
+                std::to_string(decl.receiver));
+        }
+    }
     if (!validation_.empty()) {
         firstError_ = "invalid program: " + validation_.front();
         return;
     }
-    competing_ = CompetingAnalysis::analyze(program, topo_);
 
     // One pass over the route set derives every registration table a
     // session needs: crossings per link (arena span sizes), the
@@ -355,9 +368,12 @@ CompiledProgram::labels() const
         return labels_;
     std::call_once(labelsOnce_, [this] {
         Labeling labeling = labelMessages(program_);
-        if (!labeling.success)
+        if (!labeling.success) {
             labeling = trivialLabeling(program_);
+            labelsFellBack_ = true;
+        }
         labels_ = labeling.normalized();
+        labelValues_ = std::move(labeling.labels);
     });
     return labels_;
 }
@@ -377,7 +393,7 @@ CompiledProgram::analysis(const MachineSpec& spec) const
             return report;
     }
     auto report = std::make_shared<const AnalysisReport>(
-        analyzeProgram(program_, topo_, options));
+        analyzeProgram(*this, options));
     analysisCache_.emplace_back(options, report);
     return report;
 }

@@ -23,8 +23,8 @@
  * can stream assignment/release/delivery events instead of
  * materializing them.
  *
- * The legacy single-use API (ArraySimulator, simulateProgram) in
- * sim/machine.h is a thin wrapper over this class.
+ * The single-use simulateProgram() in sim/machine.h is a thin
+ * wrapper over this class.
  */
 
 #include <cstdint>
@@ -92,11 +92,13 @@ class CompiledProgram
     /** The shared topology node (alias it, don't copy it). */
     const SharedTopology& sharedTopo() const { return topo_; }
 
-    /** Did program validation pass? */
+    /** Did validation pass (program structure, one explicit label per
+     *  message if any are given, a route for every message)? */
     bool valid() const { return validation_.empty(); }
     /** First validation error ("" when valid). */
     const std::string& error() const { return firstError_; }
-    /** All validation errors. */
+    /** All validation errors: the structural ones or, when there are
+     *  none, one per competing().unroutable() message, in order. */
     const std::vector<std::string>& validation() const
     {
         return validation_;
@@ -110,6 +112,20 @@ class CompiledProgram
      * concurrent sessions.
      */
     const std::vector<std::int64_t>& labels() const;
+
+    /** labels() as exact values: explicit labels as given, else the
+     *  section 6 rationals before normalization (same order, ties). */
+    const std::vector<Rational>& labelValues() const
+    {
+        (void)labels();
+        return labelValues_;
+    }
+    /** Did labels() fall back from section 6 to the trivial labeling? */
+    bool labelingFellBack() const
+    {
+        (void)labels();
+        return labelsFellBack_;
+    }
 
     /** Route crossings per link (sizes each arena's crossing spans). */
     const std::vector<int>& crossingsPerLink() const
@@ -179,6 +195,8 @@ class CompiledProgram
     /** Lazy default labeling; see labels(). */
     mutable std::once_flag labelsOnce_;
     mutable std::vector<std::int64_t> labels_;
+    mutable std::vector<Rational> labelValues_;
+    mutable bool labelsFellBack_ = false;
     bool labelsGiven_ = false;
 
     /** Memoized per-shape static analyses; see analysis(). */

@@ -632,32 +632,16 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
     }
 
     // Work items are (shape × request) grid cells — the finest unit
-    // that preserves per-run determinism — restricted to this
-    // shard's range; cells satisfied by the journal dispatch
-    // nothing. Cell granularity is what fixes the inverted scaling
-    // curve: under the old whole-shape dispatch a ladder with one
-    // giant rung parked every other worker behind the thread that
-    // claimed it.
+    // that preserves per-run determinism, so a ladder with one giant
+    // rung does not park every other worker behind it — restricted to
+    // this shard's range; cells satisfied by the journal dispatch
+    // nothing.
     std::vector<std::size_t> work;
     for (std::size_t idx = shardBegin; idx < shardEnd; ++idx) {
         if (!out.rows[idx].finished)
             work.push_back(idx);
     }
-    // The legacy scheduler claims whole shapes; kept only so the
-    // bit-identity suite can prove cell-granular == shape-granular.
-    std::vector<std::size_t> shapeWork;
-    if (options_.shapeGranularDispatch && !requests.empty()) {
-        for (std::size_t idx : work) {
-            const std::size_t s = idx / requests.size();
-            if (shapeWork.empty() || shapeWork.back() != s)
-                shapeWork.push_back(s);
-        }
-    }
-    const std::size_t numItems = options_.shapeGranularDispatch
-                                     ? shapeWork.size()
-                                     : work.size();
-
-    const int workers = clampWorkers(options_.numWorkers, numItems);
+    const int workers = clampWorkers(options_.numWorkers, work.size());
     // Sessions checked out per cell, at most this many live per
     // shape. More than one per worker can never run concurrently.
     int sessionBound = options_.maxSessionsPerShape > 0
@@ -785,25 +769,9 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         }
     };
 
-    if (options_.shapeGranularDispatch) {
-        auto job = [&](int, std::size_t workIdx) {
-            const std::size_t s = shapeWork[workIdx];
-            for (std::size_t r = 0; r < requests.size(); ++r) {
-                const std::size_t idx = s * requests.size() + r;
-                if (idx < shardBegin || idx >= shardEnd)
-                    continue;
-                if (stopRequested())
-                    return;
-                runCell(idx);
-            }
-        };
-        pool_.dispatch(workers, shapeWork.size(), job);
-    } else {
-        auto job = [&](int, std::size_t workIdx) {
-            runCell(work[workIdx]);
-        };
-        pool_.dispatch(workers, work.size(), job);
-    }
+    pool_.dispatch(workers, work.size(), [&](int, std::size_t workIdx) {
+        runCell(work[workIdx]);
+    });
 
     if (journal && journal->failed) {
         out.journalError = true;

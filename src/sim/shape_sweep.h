@@ -104,14 +104,6 @@ struct ShapeSweepOptions
      */
     int maxSessionsPerShape = 0;
     /**
-     * Legacy scheduler: claim whole shapes instead of grid cells (one
-     * worker per shape, exactly the pre-cell-granular dispatch). Kept
-     * because the bit-identity suite proves cell-granular == serial
-     * == shape-granular; useless otherwise — a skewed ladder leaves
-     * workers idle behind its longest rung.
-     */
-    bool shapeGranularDispatch = false;
-    /**
      * Multi-process sharding: when shardEnd > shardBegin, this run
      * only executes grid cells in [shardBegin, shardEnd) of the
      * shape-major grid (cell = shape * numRequests + request; bounds

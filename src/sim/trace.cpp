@@ -5,8 +5,6 @@
 #include <sstream>
 #include <vector>
 
-#include "core/competing.h"
-
 namespace syscomm::sim {
 
 std::string
@@ -82,22 +80,21 @@ renderMessageLatencies(const RunResult& result, const Program& program)
 Cycle
 idealCycles(const Program& program, const Topology& topo)
 {
-    auto analysis = CompetingAnalysis::analyze(program, topo);
+    // Stats-only session run: idealCycles only needs the cycle count,
+    // and the static policy never needs labels — skip the labeler.
+    auto compiled = CompiledProgram::compile(program, topo, {},
+                                             /*precompute_labels=*/false);
     std::int64_t total_words = 0;
     for (MessageId m = 0; m < program.numMessages(); ++m)
         total_words += program.messageLength(m);
 
     MachineSpec spec;
-    spec.topo = topo;
-    spec.queuesPerLink = std::max(1, analysis.maxOnLink());
+    spec.topo = compiled->sharedTopo();
+    spec.queuesPerLink = std::max(1, compiled->competing().maxOnLink());
     spec.queueCapacity =
         std::max<int>(1, static_cast<int>(std::min<std::int64_t>(
                              total_words, 1 << 20)));
-    // Stats-only session run: idealCycles only needs the cycle count,
-    // and the static policy never needs labels — skip the labeler.
-    SessionOptions options;
-    options.precomputeLabels = false;
-    SimSession session(program, spec, options);
+    SimSession session(compiled, spec);
     RunRequest request;
     request.policy = PolicyKind::kStatic;
     RunResult r = session.run(request);

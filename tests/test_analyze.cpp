@@ -13,10 +13,14 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/analyze.h"
+#include "core/compile.h"
+#include "core/machine_spec.h"
 #include "core/program.h"
 #include "core/topology.h"
+#include "sim/session.h"
 #include "text/parser.h"
 
 namespace syscomm {
@@ -30,6 +34,14 @@ parse(const std::string& source)
     return result.program;
 }
 
+/** Compile @p program for @p topo, then analyze it at @p shape. */
+AnalysisReport
+lint(const Program& program, Topology topo, const AnalyzeOptions& shape = {})
+{
+    const sim::CompiledProgram compiled(program, std::move(topo));
+    return analyzeProgram(compiled, shape);
+}
+
 bool
 hasRule(const AnalysisReport& report, LintRule rule)
 {
@@ -39,6 +51,12 @@ hasRule(const AnalysisReport& report, LintRule rule)
                            return diag.rule == rule;
                        });
 }
+
+/** One message between two cells. */
+const char* kOneMessage = "cells 2\n"
+                          "message X 0 -> 1\n"
+                          "cell 0 { W(X) }\n"
+                          "cell 1 { R(X) }\n";
 
 /** The mutual read-before-write cycle: deadlocked on every shape. */
 const char* kReadCycle = "cells 2\n"
@@ -84,7 +102,7 @@ TEST(Analyze, ReadCycleWitnessImplicatesBothCells)
 {
     const Program program = parse(kReadCycle);
     const Topology topo = Topology::linearArray(2);
-    const AnalysisReport report = analyzeProgram(program, topo);
+    const AnalysisReport report = lint(program, topo);
 
     EXPECT_EQ(report.verdict, LintVerdict::kDeadlock);
     ASSERT_EQ(report.witness.cycle.size(), 2u);
@@ -119,7 +137,7 @@ TEST(Analyze, BufferBoundBoundaryProgram)
 
     // Default shape buffers 1 word per queue: statically deadlocked,
     // wedged on writes.
-    const AnalysisReport tight = analyzeProgram(program, topo);
+    const AnalysisReport tight = lint(program, topo);
     EXPECT_EQ(tight.verdict, LintVerdict::kDeadlock);
     ASSERT_FALSE(tight.witness.empty());
     for (const WitnessEntry& entry : tight.witness.cycle)
@@ -134,7 +152,7 @@ TEST(Analyze, BufferBoundBoundaryProgram)
     // and SL013 says why.
     AnalyzeOptions roomy;
     roomy.queueCapacity = kWords;
-    const AnalysisReport atBound = analyzeProgram(program, topo, roomy);
+    const AnalysisReport atBound = lint(program, topo, roomy);
     EXPECT_EQ(atBound.verdict, LintVerdict::kUnknown);
     EXPECT_TRUE(atBound.witness.empty());
     EXPECT_TRUE(hasRule(atBound, LintRule::kLookaheadOnly));
@@ -145,7 +163,7 @@ TEST(Analyze, BufferBoundBoundaryProgram)
     AnalyzeOptions extended;
     extended.queueCapacity = 1;
     extended.extensionCapacity = kWords - 1;
-    EXPECT_EQ(analyzeProgram(program, topo, extended).verdict,
+    EXPECT_EQ(lint(program, topo, extended).verdict,
               LintVerdict::kUnknown);
 }
 
@@ -161,7 +179,7 @@ TEST(Analyze, MultiHopBoundsDisagreeWithCapacity)
               "cell 0 { W(X) W(X) R(Y) R(Y) }\n"
               "cell 2 { W(Y) W(Y) R(X) R(X) }\n");
     const Topology topo = Topology::linearArray(3);
-    const AnalysisReport report = analyzeProgram(program, topo);
+    const AnalysisReport report = lint(program, topo);
 
     EXPECT_NE(report.verdict, LintVerdict::kDeadlock);
     EXPECT_EQ(report.minUniformCapacity, 1);
@@ -172,7 +190,7 @@ TEST(Analyze, Fig7CertifiesOnDefaultShape)
 {
     const Program program = parse(kFig7);
     const Topology topo = Topology::linearArray(4);
-    const AnalysisReport report = analyzeProgram(program, topo);
+    const AnalysisReport report = lint(program, topo);
 
     EXPECT_EQ(report.verdict, LintVerdict::kCertified);
     EXPECT_TRUE(report.basicDeadlockFree);
@@ -187,12 +205,9 @@ TEST(Analyze, Fig7CertifiesOnDefaultShape)
 
 TEST(Analyze, UnroutableMessageIsInvalidNotAnAssert)
 {
-    const Program program = parse("cells 2\n"
-                                  "message X 0 -> 1\n"
-                                  "cell 0 { W(X) }\n"
-                                  "cell 1 { R(X) }\n");
+    const Program program = parse(kOneMessage);
     const Topology topo = Topology::custom(2, {});
-    const AnalysisReport report = analyzeProgram(program, topo);
+    const AnalysisReport report = lint(program, topo);
 
     EXPECT_EQ(report.verdict, LintVerdict::kInvalid);
     EXPECT_TRUE(hasRule(report, LintRule::kUnroutableMessage));
@@ -203,14 +218,52 @@ TEST(Analyze, UnroutableMessageIsInvalidNotAnAssert)
     EXPECT_FALSE(diag.str(program).empty());
 }
 
+TEST(Analyze, UnroutableMessageFailsCompileAndSession)
+{
+    // A disconnected custom topology: the compile must refuse the
+    // program rather than hand sessions a zero-hop route.
+    const Program program = parse(kOneMessage);
+    auto compiled =
+        sim::CompiledProgram::compile(program, Topology::custom(2, {}));
+    EXPECT_FALSE(compiled->valid());
+    EXPECT_EQ(compiled->competing().unroutable(),
+              std::vector<MessageId>{0});
+
+    MachineSpec spec;
+    spec.topo = compiled->sharedTopo();
+    EXPECT_FALSE(compileProgram(program, spec).ok);
+    sim::SimSession session(compiled, spec);
+    EXPECT_FALSE(session.valid());
+    EXPECT_EQ(session.run({}).status, sim::RunStatus::kConfigError);
+}
+
+TEST(Analyze, ExplicitLabelsAreTheOnesChecked)
+{
+    // Fig. 7 labeled A=3 B=1 C=2: B drops below A (cell 2) and C
+    // (cell 3). Section 6 labels would be consistent; analysis() must
+    // check the labels sessions on this program run with.
+    const Program program = parse(kFig7);
+    const Topology topo = Topology::linearArray(4);
+    const sim::CompiledProgram compiled(program, topo, {3, 1, 2});
+    MachineSpec spec;
+    spec.topo = compiled.sharedTopo();
+    const auto report = compiled.analysis(spec);
+
+    EXPECT_FALSE(report->labelsConsistent);
+    EXPECT_FALSE(report->labelingFellBack);
+    EXPECT_TRUE(hasRule(*report, LintRule::kInconsistentLabels));
+    EXPECT_NE(report->verdict, LintVerdict::kCertified);
+    // Too few explicit labels is a compile error, not a bad index.
+    EXPECT_FALSE(sim::CompiledProgram(program, topo, {1, 2}).valid());
+}
+
 TEST(Analyze, TopologyMismatchIsInvalid)
 {
     const Program program = parse("cells 3\n"
                                   "message X 0 -> 2\n"
                                   "cell 0 { W(X) }\n"
                                   "cell 2 { R(X) }\n");
-    const AnalysisReport report =
-        analyzeProgram(program, Topology::linearArray(2));
+    const AnalysisReport report = lint(program, Topology::linearArray(2));
     EXPECT_EQ(report.verdict, LintVerdict::kInvalid);
     EXPECT_TRUE(hasRule(report, LintRule::kTopologyMismatch));
 }
@@ -222,8 +275,7 @@ TEST(Analyze, StructurallyInvalidProgram)
                                   "message X 0 -> 1\n"
                                   "cell 0 { W(X) }\n"
                                   "cell 1 { R(X) R(X) }\n");
-    const AnalysisReport report =
-        analyzeProgram(program, Topology::linearArray(2));
+    const AnalysisReport report = lint(program, Topology::linearArray(2));
     EXPECT_EQ(report.verdict, LintVerdict::kInvalid);
     EXPECT_TRUE(hasRule(report, LintRule::kInvalidProgram));
 }
@@ -234,8 +286,7 @@ TEST(Analyze, ComputePinIsInfoOnly)
                                   "message X 0 -> 1\n"
                                   "cell 0 { W(X) C }\n"
                                   "cell 1 { R(X) }\n");
-    const AnalysisReport report =
-        analyzeProgram(program, Topology::linearArray(2));
+    const AnalysisReport report = lint(program, Topology::linearArray(2));
     EXPECT_EQ(report.verdict, LintVerdict::kCertified);
     EXPECT_TRUE(hasRule(report, LintRule::kComputePin));
     for (const Diagnostic& diag : report.diagnostics) {

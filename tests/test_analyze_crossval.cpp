@@ -58,7 +58,8 @@ void
 checkProgram(const Program& program, const Topology& topo,
              Tally& tally)
 {
-    const AnalysisReport report = analyzeProgram(program, topo);
+    const sim::CompiledProgram compiled(program, topo);
+    const AnalysisReport report = analyzeProgram(compiled);
     ++tally.programs;
     const sim::KernelKind kernels[] = {sim::KernelKind::kEventDriven,
                                        sim::KernelKind::kReference};

@@ -148,14 +148,13 @@ TEST(Equivalence, MultiHopRouteCapacityBoundMatchesRuntime)
     for (std::uint64_t seed = 0; seed < 150; ++seed) {
         for (int capacity : {1, 2}) {
             Program p = randomLineProgram(4, 4, 3, seed * 13 + 1);
+            auto analysis = CompetingAnalysis::analyze(p, topo);
 
             CrossOffOptions options;
             options.lookahead = true;
-            options.skip_bound =
-                routeCapacitySkipBound(p, topo, capacity);
+            options.skip_bound = routeCapacitySkipBound(analysis, capacity);
             bool classified_free = crossOff(p, options).deadlockFree;
 
-            auto analysis = CompetingAnalysis::analyze(p, topo);
             MachineSpec spec;
             spec.topo = topo;
             spec.queuesPerLink = std::max(1, analysis.maxOnLink());

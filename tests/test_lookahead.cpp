@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "algos/paper_figures.h"
+#include "core/competing.h"
 #include "core/crossoff.h"
 
 namespace syscomm {
@@ -107,7 +108,8 @@ TEST(Lookahead, RouteCapacityBoundUsesHopCount)
     p.write(0, m);
     p.read(3, m);
     Topology topo = Topology::linearArray(4);
-    SkipBoundFn bound = routeCapacitySkipBound(p, topo, 2);
+    SkipBoundFn bound =
+        routeCapacitySkipBound(CompetingAnalysis::analyze(p, topo), 2);
     EXPECT_EQ(bound(m), 6);
 }
 

@@ -91,8 +91,8 @@ TEST(LookaheadEdge, SkipBoundExactlyAtWriteRun)
     EXPECT_FALSE(freeWithBound(program, uniformSkipBound(kWords - 1)));
 
     // Analyzer: same boundary, expressed as capacity (1-hop routes).
-    const AnalysisReport report =
-        analyzeProgram(program, Topology::linearArray(2));
+    const sim::CompiledProgram compiled(program, Topology::linearArray(2));
+    const AnalysisReport report = analyzeProgram(compiled);
     EXPECT_EQ(report.minUniformSkipBound, kWords);
     EXPECT_EQ(report.minUniformCapacity, kWords);
 
@@ -164,8 +164,8 @@ TEST(LookaheadEdge, PerMessageAndUniformBoundsDisagree)
 
     // The analyzer's uniform bound is the cheap sufficient one, and
     // the machine agrees: per-queue capacity 1 completes.
-    const AnalysisReport report =
-        analyzeProgram(program, Topology::linearArray(2));
+    const sim::CompiledProgram compiled(program, Topology::linearArray(2));
+    const AnalysisReport report = analyzeProgram(compiled);
     EXPECT_EQ(report.minUniformCapacity, 1);
     EXPECT_EQ(runAtCapacity(program, 1), sim::RunStatus::kCompleted);
 }
@@ -174,17 +174,17 @@ TEST(LookaheadEdge, ExtensionCapacityCountsTowardTheBound)
 {
     const int kWords = 4;
     const Program program = parse(boundaryText(kWords));
-    const Topology topo = Topology::linearArray(2);
+    const sim::CompiledProgram compiled(program, Topology::linearArray(2));
 
     AnalyzeOptions base;
     base.queueCapacity = 1;
-    EXPECT_EQ(analyzeProgram(program, topo, base).verdict,
+    EXPECT_EQ(analyzeProgram(compiled, base).verdict,
               LintVerdict::kDeadlock);
 
     // capacity 1 + extension 3 buffers 4 words: free (section 8).
     AnalyzeOptions extended = base;
     extended.extensionCapacity = kWords - 1;
-    EXPECT_NE(analyzeProgram(program, topo, extended).verdict,
+    EXPECT_NE(analyzeProgram(compiled, extended).verdict,
               LintVerdict::kDeadlock);
 
     // And the machine with the extension completes where the

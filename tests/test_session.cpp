@@ -26,7 +26,6 @@
 namespace syscomm {
 namespace {
 
-using sim::ArraySimulator;
 using sim::Collect;
 using sim::collects;
 using sim::KernelKind;

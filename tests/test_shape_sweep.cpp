@@ -790,14 +790,6 @@ TEST(ShapeSweep, SkewedLadderBitIdenticalAcrossSchedulers)
     ShapeSweepResult cellResult = cellSweep.run(requests);
     ASSERT_TRUE(cellResult.complete);
     expectSameRows(cellResult, golden, "cell-granular");
-
-    ShapeSweepOptions legacy;
-    legacy.numWorkers = 4;
-    legacy.shapeGranularDispatch = true;
-    ShapeSweep legacySweep(p, topo, shapes, legacy);
-    ShapeSweepResult legacyResult = legacySweep.run(requests);
-    ASSERT_TRUE(legacyResult.complete);
-    expectSameRows(legacyResult, golden, "shape-granular");
 }
 
 TEST(ShapeSweep, BoundedSessionPoolBlocksAndStaysBitIdentical)

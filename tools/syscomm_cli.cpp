@@ -438,7 +438,7 @@ buildOfflineTopology(const OfflineArgs& args, int cells,
 }
 
 /**
- * Offline static analysis: parse a text program, route it over the
+ * Offline static analysis: parse a text program, compile it for the
  * requested topology, and print the full core/analyze.h report as
  * JSON — the same body the daemon's lint verb returns, minus the
  * compile-cache bookkeeping. Exit 0 when the program is at least
@@ -483,8 +483,10 @@ lintCommand(int argc, char** argv, int argi)
     options.queuesPerLink = static_cast<int>(args.queues);
     options.queueCapacity = static_cast<int>(args.capacity);
     options.extensionCapacity = static_cast<int>(args.extension);
+    const syscomm::sim::CompiledProgram compiled(parsed.program,
+                                                 std::move(topo));
     const syscomm::AnalysisReport report =
-        syscomm::analyzeProgram(parsed.program, topo, options);
+        syscomm::analyzeProgram(compiled, options);
 
     const bool ok =
         report.verdict != syscomm::LintVerdict::kDeadlock &&
